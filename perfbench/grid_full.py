@@ -69,10 +69,21 @@ def cell_digest(payload: Dict[str, object]) -> str:
 
 
 def check_report(result: Result, report, reference: Dict[str, str], warm: bool) -> None:
-    """Every cell present, none failed, each digest equal to the reference."""
+    """Every cell present, none failed, each digest equal to the reference.
+
+    ``reference`` is the label -> digest map of the grid that ran, so a cell
+    the grid no longer produces is caught as well as a changed answer.
+    """
     result.attempted += len(report.results)
     result.failed += report.failed
     result.check(report.failed == 0, f"{report.failed} grid cell(s) failed")
+    labels = sorted(cell.cell.label for cell in report.results)
+    if labels != sorted(reference):
+        missing = sorted(set(reference) - set(labels))
+        result.problems.append(
+            f"grid ran {len(labels)} cells, reference has {len(reference)}"
+            f" (missing: {', '.join(missing[:5]) or 'none'})"
+        )
     if warm:
         result.check(
             report.cache_hits == len(report.results),
@@ -104,10 +115,10 @@ def run(ctx: Context, spans: Spans) -> Result:
     from repro.grid import ResultCache, run_grid
 
     result = Result(bypassed=("service.", "exec.", "engine_x.", "storage."))
-    with open(REFERENCE, encoding="utf-8") as handle:
-        reference = json.load(handle)
     setup = [probe_ready_seconds("grid", ctx.workdir) for _ in range(SETUP_SAMPLES)]
     spec = grid_spec(ctx.seed, ctx.smoke)
+    with open(REFERENCE, encoding="utf-8") as handle:
+        reference = json.load(handle)[spec.name]
     warm_per_cold = 2 if ctx.smoke else WARM_PER_COLD
 
     cold_walls: List[float] = []

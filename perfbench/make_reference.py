@@ -2,11 +2,18 @@
 
     python3 perfbench/make_reference.py
 
-Writes ``perfbench/reference/grid_cells.json`` (label -> SHA-256 of each
-cell's deterministic payload, for the ``full`` and ``tiny`` grids, computed
-serially with no cache) and ``perfbench/reference/validate_layouts.json``
-(workload -> algorithm -> layout recommended by ``validate_costs``).  Only
-rerun it when a change is *meant* to alter answers, and say so in the
+Writes, under ``perfbench/reference/``:
+
+- ``grid_cells.json``: grid name (``full``, ``tiny``) -> cell label ->
+  SHA-256 of the cell's deterministic payload, computed serially with no
+  cache;
+- ``validate_layouts.json``: workload -> label -> layout ``validate_costs``
+  executes;
+- ``validate_scans.json``: backend -> rows -> workload -> label -> the scan
+  figures of ``validate_costs`` at the fixed data seed, for the row counts
+  and workloads of both the full and the smoke runs.
+
+Only rerun it when a change is *meant* to alter answers, and say so in the
 change: the benchmark's correctness check is only as good as these files.
 """
 
@@ -30,9 +37,8 @@ def grid_cells() -> dict:
         report = run_grid(builtin_grid(name), cache_dir=None, workers=1)
         if report.failed:
             raise SystemExit(f"{report.failed} cell(s) of grid {name!r} failed")
-        for cell in report.results:
-            digests[cell.cell.label] = cell_digest(cell.payload)
-    return dict(sorted(digests.items()))
+        digests[name] = {cell.cell.label: cell_digest(cell.payload) for cell in report.results}
+    return digests
 
 
 def validate_layouts() -> dict:
@@ -44,11 +50,29 @@ def validate_layouts() -> dict:
     }
 
 
+def validate_scans() -> dict:
+    from validate_backends import (
+        ROWS, SMOKE_ROWS, SMOKE_WORKLOADS, WORKLOADS, reference_scans, scan_accounting,
+    )
+
+    scans = {}
+    for backend in ROWS:
+        scans[backend] = {
+            str(rows): {
+                workload: scan_accounting(backend, reference_scans(backend, workload, rows))
+                for workload in workloads
+            }
+            for rows, workloads in ((ROWS[backend], WORKLOADS), (SMOKE_ROWS[backend], SMOKE_WORKLOADS))
+        }
+    return scans
+
+
 def main() -> int:
     os.makedirs(os.path.join(HERE, "reference"), exist_ok=True)
     for filename, build in (
         ("grid_cells.json", grid_cells),
         ("validate_layouts.json", validate_layouts),
+        ("validate_scans.json", validate_scans),
     ):
         path = os.path.join(HERE, "reference", filename)
         with open(path, "w", encoding="utf-8") as handle:

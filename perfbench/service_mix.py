@@ -14,6 +14,11 @@ deduplicated), ``compare``s over explicit sub-grids of ``small`` (cells are
 computed once and read from the cache by later sub-grids) and measured
 ``validate``s at small row counts.  Fresh requests never repeat across
 threads, so which submissions deduplicate does not depend on timing.
+
+The mix is an assumption, not a measurement: the repository has no recorded
+traffic, and its one client (``examples/service_client.py``) submits a
+single ``compare`` and resubmits it.  :data:`SHARES` says how the
+proportions were chosen.
 """
 
 from __future__ import annotations
@@ -58,6 +63,18 @@ SMALL_ALGORITHMS = ("autopart", "hillclimb", "hyrise", "navathe", "o2p", "trojan
 SMALL_WORKLOADS = ("tpch:partsupp@0.1", "tpch:customer@0.1", "star:tiny", "telemetry:small")
 SMALL_COST_MODELS = ("hdd", "mainmemory")
 
+#: Each job kind's share of a thread's stream; ``recommend`` fills the rest.
+#: No recorded traffic exists to derive these from, so they are chosen for
+#: the metrics, not for realism: at 120 jobs per thread, the two slow kinds
+#: get 24 (``compare``) and 12 (``validate``) fresh jobs per thread, so with
+#: two threads every ``service.run_ms.<kind>.p50`` is a median of at least
+#: 24 jobs a round; a quarter of the jobs are resubmissions so that dedup is
+#: a large, fixed share of the traffic; ``recommend``, the cheapest kind,
+#: fills the rest.  The recommend scale factors (0.1-10) and the
+#: validate row counts (1k-4k, so a validate takes tens of milliseconds, not
+#: seconds) are assumptions of the same kind.
+SHARES = {"resubmit": 0.25, "compare": 0.2, "validate": 0.1}
+
 Request = Tuple[str, Dict[str, object]]
 
 
@@ -98,13 +115,9 @@ def job_streams(seed: int, per_thread: int) -> List[List[Request]]:
                 used.add(key)
                 return kind, body
 
-    resubmits = per_thread // 4
-    compares = round(per_thread * 0.2)
-    validates = per_thread // 10
-    quota = (
-        ["resubmit"] * resubmits + ["compare"] * compares + ["validate"] * validates
-        + ["recommend"] * (per_thread - resubmits - compares - validates)
-    )
+    counts = {kind: int(per_thread * share) for kind, share in SHARES.items()}
+    quota = [kind for kind, count in counts.items() for _ in range(count)]
+    quota += ["recommend"] * (per_thread - len(quota))
     plans = []
     for _ in range(THREADS):
         plan = list(quota)

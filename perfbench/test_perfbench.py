@@ -87,8 +87,10 @@ def test_grid_check_catches_a_changed_answer():
     from repro.grid import run_grid
 
     with open(REFERENCE, encoding="utf-8") as handle:
-        reference = json.load(handle)
+        references = json.load(handle)
+    assert len(references["full"]) == 198
     report = run_grid(grid_spec(seed=5, smoke=True), cache_dir=None, workers=1)
+    reference = references["tiny"]
     good = Result()
     check_report(good, report, reference, warm=False)
     assert good.correct and good.attempted == len(report.results)
@@ -97,6 +99,39 @@ def test_grid_check_catches_a_changed_answer():
     bad = Result()
     check_report(bad, report, dict(reference, **{label: "0" * 64}), warm=False)
     assert bad.problems == [f"cell {label}: payload differs from reference"]
+
+    # A grid that silently drops a cell fails the check too.
+    report.results = report.results[1:]
+    short = Result()
+    check_report(short, report, reference, warm=False)
+    assert len(short.problems) == 1 and label in short.problems[0]
+
+
+def test_validate_check_catches_changed_or_missing_scans():
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from common import Result
+    from validate_backends import (
+        SCANS_REFERENCE, SMOKE_ROWS, check_reference_scans, reference_scans,
+    )
+
+    with open(SCANS_REFERENCE, encoding="utf-8") as handle:
+        reference = json.load(handle)["measured"][str(SMOKE_ROWS["measured"])]["tpch:partsupp@1"]
+    report = reference_scans("measured", "tpch:partsupp@1", SMOKE_ROWS["measured"])
+    good = Result()
+    args = ("measured", "tpch:partsupp@1", report)
+    check_reference_scans(good, *args, reference)
+    assert good.correct
+
+    changed = Result()
+    label = report.validations[0].label
+    wrong = dict(reference, **{label: dict(reference[label], checksum=reference[label]["checksum"] + 1)})
+    check_reference_scans(changed, *args, wrong)
+    assert len(changed.problems) == 1 and label in changed.problems[0]
+
+    dropped = Result()
+    report.validations = report.validations[1:]
+    check_reference_scans(dropped, *args, reference)
+    assert len(dropped.problems) == 1 and "reference has" in dropped.problems[0]
 
 
 def test_service_streams_are_seeded_and_dedup_never_crosses_threads():

@@ -3,9 +3,13 @@
 One operation is one ``LayoutAdvisor.validate_costs`` call on one workload of
 a fixed list: the six algorithms recommend layouts, then every layout plus
 the Row and Column baselines is materialised and replayed on the backend —
-the numpy scan executor at 200k rows, or SQLite at 20k rows.  The data seed
+the numpy scan executor at 200k rows, or SQLite at 5k rows.  The data seed
 is the benchmark seed.  Each backend is its own workload so that a change to
 one moves that workload's figures and leaves the other's alone.
+
+After the timed passes, one untimed call per workload at
+:data:`REFERENCE_DATA_SEED` is checked against scan accounting committed in
+``reference/validate_scans.json``, which ``make_reference.py`` writes.
 """
 
 from __future__ import annotations
@@ -35,10 +39,18 @@ from common import (
 #: run at the row counts below.
 WORKLOADS = ("tpch:partsupp@1", "star:tiny", "telemetry:small")
 SMOKE_WORKLOADS = ("tpch:partsupp@1",)
-ROWS = {"measured": 200_000, "sqlite": 10_000}
+ROWS = {"measured": 200_000, "sqlite": 5_000}
 SMOKE_ROWS = {"measured": 2_000, "sqlite": 500}
 SETUP_SAMPLES = 5
 REFERENCE = os.path.join(HERE, "reference", "validate_layouts.json")
+SCANS_REFERENCE = os.path.join(HERE, "reference", "validate_scans.json")
+#: Data seed of the untimed call checked against ``SCANS_REFERENCE``.
+REFERENCE_DATA_SEED = 0
+#: What each backend's report says about one layout's scans.
+SCAN_FIELDS = {
+    "measured": ("partitions", "blocks_read", "seeks", "checksum"),
+    "sqlite": ("partitions", "rows_scanned", "bytes_scanned"),
+}
 
 
 def canonical_layout(partitioning) -> List[List[str]]:
@@ -96,12 +108,28 @@ class LayoutCapture:
         setattr(self.module, self.attribute, self.original)
 
 
-def expected_scans(workload, layouts, rows: int, data_seed: int) -> Dict[str, tuple]:
-    """Per layout, the numpy executor's own scan accounting at ``rows``.
+def scan_accounting(backend: str, report) -> Dict[str, Dict[str, int]]:
+    """Per layout label, the scan figures a backend's report gives."""
+    return {
+        validation.label: {name: getattr(validation, name) for name in SCAN_FIELDS[backend]}
+        for validation in report.validations
+    }
 
-    The reference for both backends: the measured report must repeat its
-    blocks, seeks and checksum, and SQLite must scan exactly its rows and
-    bytes (the invariant of the three-backend differential harness).
+
+def reference_scans(backend: str, workload_id: str, rows: int):
+    """The report of the untimed call checked against ``SCANS_REFERENCE``."""
+    from repro.core.advisor import LayoutAdvisor
+
+    return LayoutAdvisor().validate_costs(
+        _resolve(workload_id), rows=rows, data_seed=REFERENCE_DATA_SEED, backend=backend
+    )
+
+
+def expected_scans(workload, layouts, rows: int, data_seed: int) -> Dict[str, tuple]:
+    """Per layout, the rows and bytes the numpy executor scans at ``rows``.
+
+    SQLite must scan exactly these (the invariant of the three-backend
+    differential harness).
     """
     from repro.exec.executor import VectorizedScanExecutor
     from repro.grid.spec import resolve_cost_model
@@ -115,10 +143,7 @@ def expected_scans(workload, layouts, rows: int, data_seed: int) -> Dict[str, tu
         )
         data = executor.data
         run = executor.execute_workload(workload)
-        expected[label] = (
-            run.blocks_read, run.seeks, run.checksum,
-            sum(r.rows_scanned for r in run.runs), run.bytes_scanned,
-        )
+        expected[label] = (sum(r.rows_scanned for r in run.runs), run.bytes_scanned)
     return expected
 
 
@@ -127,19 +152,36 @@ def check_call(result: Result, backend: str, workload_id: str, report, layouts,
     got = {label: canonical_layout(layout) for label, layout in (layouts or {}).items()}
     result.check(got == reference[workload_id], f"{workload_id}: layouts differ from reference")
     result.check(report.rows == rows, f"{workload_id}: ran {report.rows} rows, wanted {rows}")
+    validated = sorted(validation.label for validation in report.validations)
+    result.check(
+        validated == sorted(reference[workload_id]),
+        f"{workload_id}: validated {validated}, wanted every layout of the reference",
+    )
     for validation in report.validations:
-        want = expected[validation.label]
         if backend == "measured":
-            same = (validation.blocks_read, validation.seeks, validation.checksum) == want[:3]
-            result.check(same, f"{workload_id}/{validation.label}: scan accounting or checksum differs")
             exact = abs(validation.predicted_seconds - validation.measured_io_seconds)
             result.check(
                 exact <= 1e-9 * max(validation.predicted_seconds, 1e-12),
                 f"{workload_id}/{validation.label}: measured I/O departs from the model",
             )
         else:
-            same = (validation.rows_scanned, validation.bytes_scanned) == want[3:]
+            same = (validation.rows_scanned, validation.bytes_scanned) == expected[validation.label]
             result.check(same, f"{workload_id}/{validation.label}: SQLite scanned other rows/bytes")
+
+
+def check_reference_scans(result: Result, backend: str, workload_id: str, report,
+                          reference: Dict[str, Dict[str, int]]) -> None:
+    """The untimed fixed-seed call's scan accounting equals the committed one."""
+    got = scan_accounting(backend, report)
+    result.check(
+        sorted(got) == sorted(reference),
+        f"{workload_id}: fixed-seed call validated {sorted(got)}, reference has {sorted(reference)}",
+    )
+    for label, want in reference.items():
+        if label in got and got[label] != want:
+            result.problems.append(
+                f"{workload_id}/{label}: fixed-seed scans {got[label]} differ from reference {want}"
+            )
 
 
 def _span_sum(spans: Spans, first: int, name: str, minus_children: str = "") -> float:
@@ -224,12 +266,12 @@ def run(ctx: Context, spans: Spans, backend: str) -> Result:
                 result.failed += 1
                 result.problems.append(f"{workload_id}: {type(error).__name__}: {error}")
                 continue
-            if workload_id not in expected:
+            if backend == "sqlite" and workload_id not in expected:
                 expected[workload_id] = expected_scans(
                     workload, capture.layouts, report.rows, ctx.seed
                 )
             check_call(result, backend, workload_id, report, capture.layouts,
-                       reference, expected[workload_id], rows)
+                       reference, expected.get(workload_id), rows)
             if not traced:
                 walls[workload_id].append(wall)
                 cpus[workload_id].append(cpu)
@@ -266,6 +308,20 @@ def run(ctx: Context, spans: Spans, backend: str) -> Result:
         enough = passes >= (2 if ctx.trace else 1)
         if enough and time.perf_counter() + last > deadline:
             break
+
+    # Output check outside the timed passes: the same call at a fixed data
+    # seed must reproduce the committed scan accounting.
+    with open(SCANS_REFERENCE, encoding="utf-8") as handle:
+        scans = json.load(handle)[backend][str(rows)]
+    for workload_id in workload_ids:
+        result.attempted += 1
+        try:
+            report = reference_scans(backend, workload_id, rows)
+        except Exception as error:  # an operation that raised is a failure
+            result.failed += 1
+            result.problems.append(f"{workload_id} (fixed seed): {type(error).__name__}: {error}")
+            continue
+        check_reference_scans(result, backend, workload_id, report, scans[workload_id])
 
     # The workloads of the list cost different amounts, so a median over all
     # calls would depend on how many calls of each a run fits in.  Each
