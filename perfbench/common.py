@@ -155,6 +155,76 @@ def settle() -> None:
     gc.collect()
 
 
+# -- host speed ----------------------------------------------------------------
+
+#: Median seconds of one :func:`calibrate` on the host the bounds were set on
+#: (2 vCPUs, Intel Xeon, Python 3.11.7).  Only the scale of the adjusted
+#: figures depends on it, never a comparison.
+CALIBRATION_REFERENCE_S = 0.080
+
+
+def calibrate() -> float:
+    """Seconds a fixed task that never touches ``repro`` takes right now.
+
+    The task mixes what the program's in-process operations spend their time
+    on: Python dict and integer work, SQLite inserts and aggregates (the
+    standard library's ``sqlite3``, in memory), and numpy arithmetic and
+    sorting.  A change to the program cannot change it, so how long it takes
+    tracks only how fast the shared host runs at that moment.
+    """
+    import numpy
+    import sqlite3
+
+    started = time.perf_counter()
+    table: Dict[int, int] = {}
+    for i in range(150_000):
+        key = (i * 7919) % 1009
+        table[key] = table.get(key, 0) + i
+    connection = sqlite3.connect(":memory:")
+    try:
+        connection.execute("CREATE TABLE t (a INTEGER, b REAL, c TEXT)")
+        connection.executemany(
+            "INSERT INTO t VALUES (?, ?, ?)", ((i, i * 0.5, str(i)) for i in range(15_000))
+        )
+        for remainder in range(8):
+            connection.execute(
+                "SELECT SUM(a), SUM(b), COUNT(c) FROM t WHERE a % 8 = ?", (remainder,)
+            ).fetchone()
+    finally:
+        connection.close()
+    values = numpy.arange(500_000, dtype=numpy.float64)
+    for _ in range(4):
+        (values * 1.5 + 2.0).sum()
+        numpy.sort(values[::-1][:100_000])
+    return time.perf_counter() - started
+
+
+class HostSpeed:
+    """The host's speed over one run, from :func:`calibrate` next to each operation.
+
+    The host is shared: its speed swings by 15–40% over seconds and stays
+    fast or slow for minutes, and a process's CPU time swings with it, so a
+    ten-run set that falls into a slow stretch reads slow.  Timing
+    the fixed task next to the operations and scaling every operation time
+    by ``CALIBRATION_REFERENCE_S / median(task times)`` takes out the part
+    of the swing both share.  The raw figures are printed beside the
+    adjusted ones.
+    """
+
+    def __init__(self) -> None:
+        self.samples: List[float] = []
+
+    def sample(self, count: int = 1) -> None:
+        for _ in range(count):
+            settle()
+            self.samples.append(calibrate())
+
+    @property
+    def factor(self) -> float:
+        """Reference over measured task time: above 1 on a slow stretch."""
+        return CALIBRATION_REFERENCE_S / median(self.samples) if self.samples else 1.0
+
+
 # -- the benchmark's own spans -------------------------------------------------
 
 

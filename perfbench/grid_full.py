@@ -22,6 +22,7 @@ from common import (
     HERE,
     Context,
     GCPauses,
+    HostSpeed,
     Result,
     Spans,
     median,
@@ -36,6 +37,9 @@ from common import (
 WORKERS = 2
 #: Warm re-runs after each cold grid.
 WARM_PER_COLD = 10
+#: Host-speed samples right before and right after each untraced cold grid
+#: (a cold grid runs for seconds, a sample for about 80 ms).
+HOST_SAMPLES_AROUND_COLD = 3
 SETUP_SAMPLES = 5
 REFERENCE = os.path.join(HERE, "reference", "grid_cells.json")
 
@@ -126,6 +130,7 @@ def run(ctx: Context, spans: Spans) -> Result:
     warm_walls: List[float] = []
     traced_walls: List[float] = []
     layer: Dict[str, List[float]] = {}
+    host = HostSpeed()
     deadline = ctx.deadline()
     iteration = 0
     while True:
@@ -141,6 +146,8 @@ def run(ctx: Context, spans: Spans) -> Result:
             else None
         )
         store_spans = len(spans.durations("grid.ResultCache.store"))
+        if not traced:
+            host.sample(HOST_SAMPLES_AROUND_COLD)
         settle()
         with GCPauses() as pauses, timed_calls(
             spans, [(ResultCache, "store", "grid.ResultCache.store")] if traced else []
@@ -179,6 +186,7 @@ def run(ctx: Context, spans: Spans) -> Result:
             for name, value in samples.items():
                 layer.setdefault(name, []).append(value)
         else:
+            host.sample(HOST_SAMPLES_AROUND_COLD)
             cold_walls.append(wall)
             cold_cpus.append(cpu)
 
@@ -206,12 +214,14 @@ def run(ctx: Context, spans: Spans) -> Result:
             break
 
     result.metrics = {
-        "setup_s": median(setup),
+        "setup_s": median(setup) * host.factor,
         "peak_rss_mb": peak_rss_mb(),
-        "op_p50_ms": 1e3 * median(cold_walls),
-        "cpu_ms_per_op": 1e3 * median(cold_cpus),
+        "op_p50_ms": 1e3 * median(cold_walls) * host.factor,
+        "cpu_ms_per_op": 1e3 * median(cold_cpus) * host.factor,
     }
     result.named = {
+        "host_factor": host.factor,
+        "raw_setup_s": median(setup),
         "cold_grids": len(cold_walls),
         "cold_grid_s": median(cold_walls),
         "grid_cpu_s": median(cold_cpus),

@@ -39,6 +39,7 @@ from common import (
     ROOT,
     Context,
     GCPauses,
+    HostSpeed,
     Result,
     Spans,
     child_env,
@@ -55,6 +56,9 @@ SMOKE_JOBS_PER_THREAD = 6
 POLL_INTERVAL_S = 0.01
 #: Service starts measured only for ``setup_s``; every round adds one more.
 SETUP_PROBES = 4
+#: Host-speed samples after each set-up probe and after the rounds, taken
+#: in the client while the service is stopped or idle; they scale ``setup_s``.
+HOST_SAMPLES = 2
 TERMINAL = ("done", "failed", "cancelled")
 
 RECOMMEND_TABLES = ("customer", "orders", "part", "partsupp", "supplier", "nation")
@@ -399,10 +403,12 @@ def run(ctx: Context, spans: Spans) -> Result:
     per_thread = SMOKE_JOBS_PER_THREAD if ctx.smoke else JOBS_PER_THREAD
     streams = job_streams(ctx.seed, per_thread)
     setup: List[float] = []
+    host = HostSpeed()
     for probe in range(1 if ctx.smoke else SETUP_PROBES):
         service = Service(ctx.workdir, f"probe-{probe}")
         service.stop()
         setup.append(service.ready_s)
+        host.sample(HOST_SAMPLES)
     rounds: List[Tuple[Round, bool]] = []
     deadline = ctx.deadline()
     while True:
@@ -416,6 +422,7 @@ def run(ctx: Context, spans: Spans) -> Result:
         if enough and time.perf_counter() + last > deadline:
             break
     spans.enabled = ctx.trace
+    host.sample(HOST_SAMPLES * (1 if ctx.smoke else SETUP_PROBES))
     client_rss = peak_rss_mb(include_children=False)
 
     # Output checks, after the timed rounds: every job done, every answer
@@ -439,12 +446,17 @@ def run(ctx: Context, spans: Spans) -> Result:
     jobs = sum(len(round_.records) for round_ in untraced)
     wall = sum(round_.wall_s for round_ in untraced)
     result.metrics = {
-        "setup_s": median(setup),
+        "setup_s": median(setup) * host.factor,
         "peak_rss_mb": max(client_rss, peak_rss_mb(include_self=False)),
+        # Not scaled: most of a job's latency is the keep-alive stall, a timer
+        # that the host's speed does not move, and the service's CPU per job
+        # moved far less than the calibration measured in the client.
         "op_p50_ms": 1e3 * median(latencies),
         "cpu_ms_per_op": 1e3 * ratio(sum(round_.cpu_s for round_ in untraced), jobs),
     }
     result.named = {
+        "host_factor": host.factor,
+        "raw_setup_s": median(setup),
         "rounds": len(untraced),
         "jobs": jobs,
         "jobs_per_s": ratio(jobs, wall),

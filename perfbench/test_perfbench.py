@@ -144,3 +144,14 @@ def test_service_streams_are_seeded_and_dedup_never_crosses_threads():
         for stream in job_streams(3, 40)
     )
     assert not first & second
+
+
+def test_host_speed_scales_by_reference_over_median_calibration():
+    from common import CALIBRATION_REFERENCE_S, HostSpeed
+
+    host = HostSpeed()
+    assert host.factor == 1.0
+    host.sample(3)
+    assert len(host.samples) == 3 and all(seconds > 0 for seconds in host.samples)
+    host.samples = [0.1, 0.3, 0.2]
+    assert host.factor == CALIBRATION_REFERENCE_S / 0.2

@@ -3,9 +3,13 @@
 One operation is one ``LayoutAdvisor.validate_costs`` call on one workload of
 a fixed list: the six algorithms recommend layouts, then every layout plus
 the Row and Column baselines is materialised and replayed on the backend —
-the numpy scan executor at 200k rows, or SQLite at 5k rows.  The data seed
+the numpy scan executor at 200k rows, or SQLite at 2k rows.  The data seed
 is the benchmark seed.  Each backend is its own workload so that a change to
 one moves that workload's figures and leaves the other's alone.
+
+Each untimed pass samples the host's speed (:class:`common.HostSpeed`) right
+before every call, and ``setup_s``, ``op_p50_ms`` and ``cpu_ms_per_op`` are
+scaled by it; the raw figures are printed beside them.
 
 After the timed passes, one untimed call per workload at
 :data:`REFERENCE_DATA_SEED` is checked against scan accounting committed in
@@ -24,6 +28,7 @@ from common import (
     HERE,
     Context,
     GCPauses,
+    HostSpeed,
     Result,
     Spans,
     cpu_seconds,
@@ -39,7 +44,7 @@ from common import (
 #: run at the row counts below.
 WORKLOADS = ("tpch:partsupp@1", "star:tiny", "telemetry:small")
 SMOKE_WORKLOADS = ("tpch:partsupp@1",)
-ROWS = {"measured": 200_000, "sqlite": 5_000}
+ROWS = {"measured": 200_000, "sqlite": 2_000}
 SMOKE_ROWS = {"measured": 2_000, "sqlite": 500}
 SETUP_SAMPLES = 5
 REFERENCE = os.path.join(HERE, "reference", "validate_layouts.json")
@@ -239,6 +244,7 @@ def run(ctx: Context, spans: Spans, backend: str) -> Result:
     cpus: Dict[str, List[float]] = {workload_id: [] for workload_id in workload_ids}
     traced_walls: List[float] = []
     layer: Dict[str, List[float]] = {}
+    host = HostSpeed()
     deadline = ctx.deadline()
     passes = 0
     while True:
@@ -247,6 +253,8 @@ def run(ctx: Context, spans: Spans, backend: str) -> Result:
         traced = ctx.trace and passes % 2 == 1
         for workload_id in workload_ids:
             workload = workloads[workload_id]
+            if not traced:
+                host.sample()
             first = len(spans.records)
             counters = obs_metrics.registry().snapshot()
             settle()
@@ -327,14 +335,18 @@ def run(ctx: Context, spans: Spans, backend: str) -> Result:
     # calls would depend on how many calls of each a run fits in.  Each
     # workload's median call is taken first and the list is averaged.
     per_call = sum(median(values) for values in walls.values()) / len(walls)
+    cpu_per_call = sum(median(values) for values in cpus.values()) / len(cpus)
     result.metrics = {
-        "setup_s": median(setup),
+        "setup_s": median(setup) * host.factor,
         "peak_rss_mb": peak_rss_mb(),
-        "op_p50_ms": 1e3 * per_call,
-        "cpu_ms_per_op": 1e3 * sum(median(values) for values in cpus.values()) / len(cpus),
+        "op_p50_ms": 1e3 * per_call * host.factor,
+        "cpu_ms_per_op": 1e3 * cpu_per_call * host.factor,
     }
     result.named = {
         f"{backend}_validate_s": per_call,
+        f"{backend}_validate_cpu_s": cpu_per_call,
+        "host_factor": host.factor,
+        "raw_setup_s": median(setup),
         "calls": sum(len(values) for values in walls.values()),
         "rows": rows,
     }
